@@ -145,7 +145,11 @@ object GraphXRPQ {
                constants: Map[String, Any]): DataFrame = {
     val q = UcrpqParser.parse(query)
     def constVal(n: String): Long = constants.getOrElse(n,
-      throw MuRaError(s"unknown constant '$n'")).asInstanceOf[Long]
+      throw MuRaError(s"unknown constant '$n'")) match {
+      case v: Long => v
+      case v => throw MuRaError(
+        s"constant '$n' must be a Long node id, got ${v.getClass.getSimpleName} $v")
+    }
     val conjDfs = q.conjuncts.map { c =>
       val anchor = c.left match { case QConst(k) => Some(constVal(k)); case _ => None }
       var df = rpqPairs(spark, edges, c.path, anchor)

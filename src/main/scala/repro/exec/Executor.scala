@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.{broadcast, col, lit}
 import org.apache.spark.sql.types._
 import java.sql.DriverManager
+import scala.jdk.CollectionConverters._
 import repro.core._
 import repro.core.Analysis.Catalog
 
@@ -27,8 +28,6 @@ final case class ExecConfig(
     plan: PlanChoice = PlanChoice.Auto,
     nPartitions: Int = 16,
     maxIters: Int = 100000,
-    /** Broadcast φ's constant relations in P_gld joins when known small. */
-    broadcastThreshold: Long = 4000000L,
     /** Semi-naive (differential) iteration: φ applied to the new tuples
       * only (Algorithm 1). Disabled for the Myria-lite baseline to model
       * a less efficient recursion engine (see DESIGN.md §2).
@@ -43,6 +42,9 @@ final case class ExecConfig(
 final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: ExecConfig) {
 
   private val cat: Catalog = env.map { case (n, df) => n -> df.columns.toSet }
+
+  /** Largest size estimate, in bytes, of a relation P_gld broadcasts. */
+  private val GldBroadcastBytes = 4000000L
 
   def eval(t: Term): DataFrame = evalRec(t, Map.empty)
 
@@ -73,7 +75,6 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   // -------------------------------------------------------------------
 
   private def evalFix(fix: Fix, rec: Map[String, DataFrame]): DataFrame = {
-    val fullCat = cat ++ rec.map { case (x, df) => s"__rec_$x" -> df.columns.toSet }
     val (constT, varB) = Analysis.decompose(fix, cat)
     val rDf = evalRec(constT, rec).distinct()
     if (varB.isEmpty) return rDf
@@ -82,7 +83,6 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     val (phiBranches, hoisted) = hoistConstants(varB, fix.x, rec)
     val phi = Term.unionAll(phiBranches)
     val stable = Stabilizer.stableCols(fix, cat).toSeq.sorted
-    val _ = fullCat
     cfg.plan match {
       case PlanChoice.Auto =>
         if (stable.nonEmpty) pPlwS(rDf, fix.x, phi, hoisted, stable, finalDistinct = false)
@@ -135,20 +135,14 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   // -------------------------------------------------------------------
 
   /** Driver-side semi-naive loop over distributed Datasets. Every
-    * iteration performs the distributed joins of φ plus a set-difference
-    * and a union — each a shuffle across the cluster, which is exactly
-    * the communication cost P_plw removes.
+    * iteration performs the joins of φ (broadcast joins against its small
+    * constant relations, see [[gldRels]]) plus a set-difference and a
+    * union — each a shuffle across the cluster, which is exactly the
+    * communication cost P_plw removes.
     */
   def pGld(rDf: DataFrame, x: String, phi: Term, extra: Map[String, DataFrame]): DataFrame = {
     val cols = rDf.columns.toSeq
-    val e = envWith(extra)
-    // φ's constant relations are identical across iterations; if small,
-    // hint a broadcast join to avoid re-shuffling them each step.
-    val relEnv: Map[String, DataFrame] = phi.freeRels.map { n =>
-      val df = e(n)
-      n -> df
-    }.toMap
-    val sub = new Executor(spark, relEnv, cfg)
+    val sub = new Executor(spark, gldRels(phi, extra), cfg)
     var total = rDf.localCheckpoint(true)
     var delta = total
     var iters = 0
@@ -170,6 +164,21 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
       }
     }
     total
+  }
+
+  /** φ's free relations as P_gld's loop joins them: one whose Catalyst
+    * size estimate is at most `GldBroadcastBytes` is collected once and
+    * bound as a broadcast local table, any other (an unknown estimate
+    * included) stays a shuffle join. The explicit hint overrides a
+    * session's `spark.sql.autoBroadcastJoinThreshold`.
+    */
+  private[exec] def gldRels(phi: Term, extra: Map[String, DataFrame]): Map[String, DataFrame] = {
+    val e = envWith(extra)
+    phi.freeRels.map { n =>
+      val df = e(n)
+      n -> (if (df.queryExecution.optimizedPlan.stats.sizeInBytes > GldBroadcastBytes) df
+            else broadcast(spark.createDataFrame(df.collect().toSeq.asJava, df.schema)))
+    }.toMap
   }
 
   // -------------------------------------------------------------------

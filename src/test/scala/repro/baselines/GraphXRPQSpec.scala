@@ -2,6 +2,7 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.SparkTestData._
+import repro.core.MuRaError
 import repro.core.TestGraphs.{bruteClosure, bruteCompose, randLabeled}
 import repro.ucrpq._
 
@@ -81,5 +82,10 @@ class GraphXRPQSpec extends SparkSpec {
     val df = GraphXRPQ.rpqPairs(spark, gDf, Plus(Label("a")), None, maxSupersteps = 1)
     // With one superstep only single a-edges can be matched.
     assert(toPairs(df).subsetOf(bruteClosure(label("a"))))
+  }
+
+  test("runQuery names a constant that is not a Long node id") {
+    val err = intercept[MuRaError](GraphXRPQ.runQuery(spark, gDf, "?x <- C a+ ?x", Map("C" -> "1")))
+    assert(err.getMessage.contains("'C'") && err.getMessage.contains("String"))
   }
 }

@@ -1,9 +1,12 @@
 package repro.exec
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.{BROADCAST, HintInfo, LocalRelation, ResolvedHint}
 import repro.{Oracle, SparkSpec, SparkTestData}
 import repro.SparkTestData._
 import repro.core._
 import repro.core.TestGraphs._
+import repro.queries.MuRaTerms
 
 /** Distributed execution of μ-RA terms: non-recursive operators on
   * Datasets and all three fixpoint physical plans (P_gld, P_plw^s,
@@ -12,12 +15,32 @@ import repro.core.TestGraphs._
   */
 class ExecutorSpec extends SparkSpec {
 
-  private def env = Map(
+  /** Cached and materialized, as the engines' catalogs are, so Catalyst
+    * knows its size and P_gld's broadcast rule applies.
+    */
+  private def sized(df: DataFrame): DataFrame = { val c = df.cache(); c.count(); c }
+
+  /** Uncached: Catalyst has no size estimate, so P_gld never broadcasts. */
+  private def rawEnv = Map(
     "E" -> edgeDf(spark, paperE),
     "S" -> edgeDf(spark, paperS))
 
-  private def exec(plan: PlanChoice, nPart: Int = 4) =
-    new Executor(spark, env, ExecConfig(plan, nPart, maxIters = 1000))
+  private lazy val env = rawEnv.map { case (n, df) => n -> sized(df) }
+
+  private def cfg(plan: PlanChoice, nPart: Int = 4) = ExecConfig(plan, nPart, maxIters = 1000)
+
+  private def exec(plan: PlanChoice, nPart: Int = 4) = new Executor(spark, env, cfg(plan, nPart))
+
+  private val gld = cfg(PlanChoice.ForceGld)
+
+  /** A plan paired with how its inputs are bound. On cached inputs P_gld
+    * joins φ's relations by broadcast; on uncached ones by shuffle.
+    */
+  private final class Run(cfg: ExecConfig, cached: Boolean = true) {
+    def input(df: DataFrame): DataFrame = if (cached) sized(df) else df
+    def on(rels: Map[String, DataFrame]): Executor = new Executor(spark, rels, cfg)
+    def exec: Executor = on(if (cached) env else rawEnv)
+  }
 
   // ------------------------------------------------- non-recursive ops
 
@@ -53,32 +76,32 @@ class ExecutorSpec extends SparkSpec {
   // ------------------------------------------------------ fixpoint plans
 
   private val plans = Seq(
-    "P_gld" -> PlanChoice.ForceGld,
-    "P_plw_s" -> PlanChoice.ForcePlwS,
-    "P_plw_pg" -> PlanChoice.ForcePlwPg,
-    "Auto" -> PlanChoice.Auto)
+    "P_gld" -> new Run(gld),
+    "P_gld (shuffle joins)" -> new Run(gld, cached = false),
+    "P_plw_s" -> new Run(cfg(PlanChoice.ForcePlwS)),
+    "P_plw_pg" -> new Run(cfg(PlanChoice.ForcePlwPg)),
+    "Auto" -> new Run(cfg(PlanChoice.Auto)))
 
   for ((name, p) <- plans) {
     test(s"$name: Example 2 fixpoint matches the paper trace") {
-      val df = exec(p).eval(example2)
+      val df = p.exec.eval(example2)
       assert(toPairs(df) == bruteFrom(paperS, paperE))
     }
 
     test(s"$name: E+ equals brute transitive closure") {
-      val df = exec(p).eval(closureE)
+      val df = p.exec.eval(closureE)
       assert(toPairs(df) == bruteClosure(paperE))
     }
 
     test(s"$name: no duplicates in the result") {
-      val df = exec(p).eval(closureE)
+      val df = p.exec.eval(closureE)
       assert(df.count() == df.distinct().count())
     }
 
     test(s"$name: random graph closure matches oracle (recursive SQL)") {
       val e = randEdges(15, 30, seed = 7)
-      val eDf = edgeDf(spark, e)
-      val ex = new Executor(spark, Map("E" -> eDf), ExecConfig(p, 4, 1000))
-      val df = ex.eval(closureE)
+      val eDf = p.input(edgeDf(spark, e))
+      val df = p.on(Map("E" -> eDf)).eval(closureE)
       Oracle.assertEquivalent(
         df.select(df.col("src"), df.col("trg")),
         """WITH RECURSIVE tc AS (
@@ -93,7 +116,7 @@ class ExecutorSpec extends SparkSpec {
       val prepend = AntiProj("k1", Join(Rename("trg", "k1", Rel("E")), Rename("src", "k1", RecVar("Z"))))
       val append  = AntiProj("k2", Join(Rename("trg", "k2", RecVar("Z")), Rename("src", "k2", Rel("E"))))
       val fix = Fix("Z", Union(Rel("S"), Union(prepend, append)))
-      val df = exec(p).eval(fix)
+      val df = p.exec.eval(fix)
       assert(toPairs(df) == asPairs(LocalEval.eval(fix,
         Map("E" -> rel(paperE), "S" -> rel(paperS)))))
     }
@@ -111,7 +134,7 @@ class ExecutorSpec extends SparkSpec {
       AntiProj("c", Join(Rename("trg", "c", RecVar("X")),
         Rename("src", "c", Term.closure(Rel("E"), "Y"))))))
     for ((_, p) <- plans) {
-      val df = exec(p).eval(fix)
+      val df = p.exec.eval(fix)
       assert(toPairs(df) == bruteFrom(paperS, bruteClosure(paperE)))
     }
   }
@@ -133,13 +156,11 @@ class ExecutorSpec extends SparkSpec {
 
   test("labeled-graph fixpoint through σ_pred (edge terms)") {
     val g = randLabeled(10, 25, Seq("a", "b"), seed = 3)
-    val gDf = labeledDf(spark, g)
     val edgeA = AntiProj("pred", Filter(EqConst("pred", "a"), Rel("G")))
     val t = Term.closure(edgeA)
     val expected = bruteClosure(g.collect { case (s, "a", o) => (s, o) })
     for ((_, p) <- plans) {
-      val ex = new Executor(spark, Map("G" -> gDf), ExecConfig(p, 4, 1000))
-      assert(toPairs(ex.eval(t)) == expected)
+      assert(toPairs(p.on(Map("G" -> p.input(labeledDf(spark, g)))).eval(t)) == expected)
     }
   }
 
@@ -151,8 +172,56 @@ class ExecutorSpec extends SparkSpec {
     val fix = Fix("X", Union(base, step))
     val expected = bruteClosure(paperE).filter(_._1 == 1L).map(_._2)
     for ((_, p) <- plans) {
-      val df = exec(p).eval(fix)
+      val df = p.exec.eval(fix)
       assert(SparkTestData.toLongs(df) == expected)
+    }
+  }
+
+  // ------------------------------------------- P_gld's broadcast rule
+
+  test("P_gld broadcasts a relation only when its size estimate is known and small") {
+    val step = Term.unionAll(Analysis.decompose(closureE, TestGraphs.cat)._2)
+    def broadcastLocal(df: DataFrame): Boolean = df.queryExecution.analyzed match {
+      case ResolvedHint(_: LocalRelation, HintInfo(Some(BROADCAST))) => true
+      case _ => false
+    }
+    val small = exec(PlanChoice.ForceGld).gldRels(step, Map.empty)("E")
+    assert(broadcastLocal(small))
+    assert(small.join(env("S"), Seq("src")).queryExecution.executedPlan.toString
+      .contains("BroadcastHashJoin"))
+    assert(toPairs(small) == paperE)
+    // An uncached RDD has no size estimate: it is never collected.
+    val unknown = edgeDf(spark, paperE)
+    assert(new Executor(spark, Map("E" -> unknown), gld).gldRels(step, Map.empty)("E") eq unknown)
+  }
+
+  /** The runs that take the P_gld path, with broadcast and with shuffle
+    * joins, over the uncached inputs `raw`.
+    */
+  private def gldRuns(raw: Map[String, DataFrame]): Seq[(String, Term => DataFrame)] = {
+    val rels = raw.map { case (n, df) => n -> sized(df) }
+    Seq(
+      "P_gld" -> new Executor(spark, rels, gld).eval _,
+      "P_gld (shuffle joins)" -> new Executor(spark, raw, gld).eval _,
+      "Myria-lite" -> Engines.myriaLite(spark, rels, Map.empty, 4).run _)
+  }
+
+  test("same generation on a random tree: P_gld variants and Myria-lite match LocalEval") {
+    val rnd = new scala.util.Random(3)
+    val tree = (2 to 40).map(i => ((rnd.nextInt(i - 1) + 1).toLong, i.toLong)).toSet
+    val expected = LocalEval.eval(MuRaTerms.sameGeneration, Map("R" -> rel(tree)))
+    for ((name, run) <- gldRuns(Map("R" -> edgeDf(spark, tree)))) {
+      val df = run(MuRaTerms.sameGeneration)
+      assert(toPairs(df, "x", "y") == pairsOf(expected, "x", "y"), name)
+    }
+  }
+
+  test("aⁿbⁿ on a labelled graph: P_gld variants and Myria-lite match LocalEval") {
+    val g = randLabeled(12, 40, Seq("a", "b"), seed = 5)
+    val expected = LocalEval.eval(MuRaTerms.anbn, Map("G" -> labeledRel(g)))
+    assert(expected.rows.nonEmpty)
+    for ((name, run) <- gldRuns(Map("G" -> labeledDf(spark, g)))) {
+      assert(toPairs(run(MuRaTerms.anbn)) == asPairs(expected), name)
     }
   }
 }
