@@ -1,8 +1,7 @@
 package repro
 
-import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import repro.exec.DuckDb
 
 /** DuckDB correctness oracle.
   *
@@ -34,24 +33,9 @@ object Oracle {
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
-      for ((name, df) <- tables) {
-        val cols = df.columns
-        conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
-      }
+    DuckDb.withConnection { conn =>
+      // Collect once; this is an oracle, not a bench — keep tables small.
+      for ((name, df) <- tables) DuckDb.load(conn, name, df.schema, df.collect().map(_.toSeq))
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData
       val dCols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
@@ -72,6 +56,6 @@ object Oracle {
         s"  first spark-only: ${got.diff(exp).take(3)}\n" +
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
-    } finally conn.close()
+    }
   }
 }

@@ -68,8 +68,8 @@ object Experiments {
   def fig7(spark: SparkSession): String = {
     val (cat, consts) = yagoCatalog(spark)
     cat.values.foreach(df => df.cache().count())
-    val plwS = Engines.distMuRAPlwS(spark, cat, consts, nPart)
-    val plwPg = Engines.distMuRAPlwPg(spark, cat, consts, nPart)
+    val plwS = Engines.DistMuRAPlwS.engine(spark, cat, consts, nPart)
+    val plwPg = Engines.DistMuRAPlwPg.engine(spark, cat, consts, nPart)
     Seq(plwS, plwPg).foreach(_.warmup())
     val queries = PaperQueries.yago.take(9)
     val ms = for {
@@ -84,8 +84,8 @@ object Experiments {
     val (cat, consts) = yagoCatalog(spark)
     cat.values.foreach(df => df.cache().count())
     val dist = Engines.distMuRA(spark, cat, consts, nPart)
-    val gld = Engines.distMuRAGld(spark, cat, consts, nPart)
-    val bd = Engines.bigDatalogLite(spark, cat, consts, nPart)
+    val gld = Engines.DistMuRAGld.engine(spark, cat, consts, nPart)
+    val bd = Engines.BigDatalogLite.engine(spark, cat, consts, nPart)
     val central = new CentralizedMuRA(spark, cat, consts)
     Seq(dist, gld, bd).foreach(_.warmup()); central.warmup()
     // one untimed non-recursive query per engine: JIT + codegen warmup
@@ -115,7 +115,7 @@ object Experiments {
     gdf.count()
     val cat = Map(Query2Mu.GraphRel -> gdf)
     val dist = Engines.distMuRA(spark, cat, Map.empty, nPart)
-    val bd = Engines.bigDatalogLite(spark, cat, Map.empty, nPart)
+    val bd = Engines.BigDatalogLite.engine(spark, cat, Map.empty, nPart)
     val central = new CentralizedMuRA(spark, cat, Map.empty)
     Seq(dist, bd).foreach(_.warmup()); central.warmup()
     val ms = for (k <- 2 to 10) yield {
@@ -148,7 +148,7 @@ object Experiments {
     Seq(catAb, catSg, catReach).foreach(_.values.foreach(df => df.cache().count()))
     for ((sysName, mk) <- Seq[(String, Map[String, DataFrame] => MuRaEngine)](
       "Dist-mu-RA" -> (c => Engines.distMuRA(spark, c, Map.empty, nPart)),
-      "BigDatalog-lite" -> (c => Engines.bigDatalogLite(spark, c, Map.empty, nPart)))) {
+      "BigDatalog-lite" -> (c => Engines.BigDatalogLite.engine(spark, c, Map.empty, nPart)))) {
       val eAb = mk(catAb); val eSg = mk(catSg); val eReach = mk(catReach)
       Seq(eAb, eSg, eReach).foreach(_.warmup())
       ms += timed(spark, sysName, "anbn")(eAb.run(MuRaTerms.anbn))
@@ -166,7 +166,7 @@ object Experiments {
       val cat = Map("R" -> GraphData.randomTree(spark, n).cache())
       cat.values.foreach(_.count())
       val dist = Engines.distMuRA(spark, cat, Map.empty, nPart)
-      val myria = Engines.myriaLite(spark, cat, Map.empty, nPart)
+      val myria = Engines.MyriaLite.engine(spark, cat, Map.empty, nPart)
       Seq(dist, myria).foreach(_.warmup())
       Seq(
         timed(spark, "Dist-mu-RA", s"tree_$n")(dist.run(MuRaTerms.sameGeneration)),
@@ -191,8 +191,8 @@ object Experiments {
     }
     val engines: Map[String, String => DataFrame] = Map(
       "Dist-mu-RA" -> warmed(Engines.distMuRA(spark, cat, g.constants, nPart)).runQuery _,
-      "BigDatalog-lite" -> warmed(Engines.bigDatalogLite(spark, cat, g.constants, nPart)).runQuery _,
-      "Myria-lite" -> warmed(Engines.myriaLite(spark, cat, g.constants, nPart)).runQuery _,
+      "BigDatalog-lite" -> warmed(Engines.BigDatalogLite.engine(spark, cat, g.constants, nPart)).runQuery _,
+      "Myria-lite" -> warmed(Engines.MyriaLite.engine(spark, cat, g.constants, nPart)).runQuery _,
       "GraphX" -> ((q: String) => GraphXRPQ.runQuery(spark, g.edges, q, g.constants)))
     val ms = for (q <- PaperQueries.uniprot; sys <- systems)
       yield timed(spark, sys, q.id)(engines(sys)(q.query))

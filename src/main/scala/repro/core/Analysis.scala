@@ -130,22 +130,6 @@ object Analysis {
     case Rel(_) | RecVar(_) => ()
   }
 
-  /** Substitute the recursive variable `x` by a term (used in tests and
-    * by the merge rule's soundness argument).
-    */
-  def substRec(t: Term, x: String, by: Term): Term = t match {
-    case RecVar(`x`)     => by
-    case RecVar(y)       => RecVar(y)
-    case Rel(n)          => Rel(n)
-    case Filter(c, s)    => Filter(c, substRec(s, x, by))
-    case Join(l, r)      => Join(substRec(l, x, by), substRec(r, x, by))
-    case Antijoin(l, r)  => Antijoin(substRec(l, x, by), substRec(r, x, by))
-    case Union(l, r)     => Union(substRec(l, x, by), substRec(r, x, by))
-    case AntiProj(c, s)  => AntiProj(c, substRec(s, x, by))
-    case Rename(f, o, s) => Rename(f, o, substRec(s, x, by))
-    case Fix(y, body)    => if (y == x) Fix(y, body) else Fix(y, substRec(body, x, by))
-  }
-
   /** Canonical form for structural memoization and α-equivalence:
     * recursive variable names and every column name *not* in the free
     * interface (base-relation schemas and the output sort) are renamed to

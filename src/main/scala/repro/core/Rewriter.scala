@@ -310,13 +310,10 @@ object Rewriter {
     case fix: Fix if fix.freeRecVars.isEmpty =>
       recognizeLinear(fix, cat) match {
         case Some(lf) if isPureClosure(lf, cat) =>
-          val other = (lf.sort - lf.xCol).head
-          val eOther = (lf.sort - lf.eCol).head
           // swap roles: X now renamed on the column E was renamed on, etc.
           val step = AntiProj(lf.k, Join(
             Rename(lf.eCol, lf.k, RecVar(lf.x)),
             Rename(lf.xCol, lf.k, lf.e)))
-          val _ = (other, eOther)
           Vector(rebuildFix(lf.x, lf.constBranches, List(step)))
         case _ => Vector.empty
       }

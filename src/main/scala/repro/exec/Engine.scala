@@ -8,17 +8,28 @@ import repro.ucrpq.Query2Mu
 
 /** Full engine configuration: which logical rewrites are allowed and
   * which physical fixpoint plans may be chosen. The baseline systems of
-  * the paper are modeled as restricted configurations (see DESIGN.md §2).
+  * the paper are modeled as restricted configurations (see DESIGN.md §2
+  * and the table in [[Engines]]).
   */
 final case class EngineConfig(
     name: String = "Dist-mu-RA",
     rewrite: RewriteConfig = RewriteConfig.all,
     plan: PlanChoice = PlanChoice.Auto,
+    /** Partitions of a `P_plw` fixpoint's constant part. */
     nPartitions: Int = 16,
     maxIters: Int = 100000,
-    collectStats: Boolean = true,
+    /** Semi-naive (differential) iteration: φ applied to the new tuples
+      * only (Algorithm 1). Disabled for the Myria-lite baseline to model
+      * a less efficient recursion engine (see DESIGN.md §2).
+      */
     semiNaive: Boolean = true,
-)
+) {
+
+  /** This configuration as an engine over `catalog`. */
+  def engine(spark: SparkSession, catalog: Map[String, DataFrame],
+             constants: Map[String, Any], nPartitions: Int): MuRaEngine =
+    new MuRaEngine(spark, catalog, constants, copy(nPartitions = nPartitions))
+}
 
 /** The Dist-μ-RA pipeline of Fig. 3: Query2Mu → MuRewriter →
   * CostEstimator → PhysicalPlanGenerator → distributed execution.
@@ -34,8 +45,7 @@ final class MuRaEngine(val spark: SparkSession,
     * approximate distinct counts), gathered once per dataset.
     */
   lazy val stats: Map[String, RelStats] =
-    if (!cfg.collectStats) catalog.map { case (n, _) => n -> RelStats(1000.0, Map.empty) }
-    else catalog.map { case (n, df) =>
+    catalog.map { case (n, df) =>
       val cols = df.columns
       val aggs = count(lit(1)).as("__rows") +: cols.map(c => approx_count_distinct(col(c)).as(c))
       val row = df.agg(aggs.head, aggs.tail: _*).head()
@@ -56,12 +66,9 @@ final class MuRaEngine(val spark: SparkSession,
     Cost.best(candidates, stats, cat)
   }
 
-  def execConfig: ExecConfig =
-    ExecConfig(cfg.plan, cfg.nPartitions, cfg.maxIters, semiNaive = cfg.semiNaive)
-
   /** Execute an (already optimized) plan. */
   def execute(plan: Term): DataFrame = {
-    val df = new Executor(spark, catalog, execConfig).eval(plan)
+    val df = new Executor(spark, catalog, cfg).eval(plan)
     df.select(df.columns.sorted.map(col): _*)
   }
 
@@ -80,42 +87,30 @@ final class MuRaEngine(val spark: SparkSession,
   def warmup(): Unit = { val _ = stats }
 }
 
-/** Factory for the engine variants compared in the paper's evaluation. */
+/** The engine variants compared in the paper's evaluation, one named
+  * configuration each; `cfg.engine(spark, catalog, constants, nPartitions)`
+  * builds one.
+  */
 object Engines {
-  def distMuRA(spark: SparkSession, catalog: Map[String, DataFrame],
-               constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA", RewriteConfig.all, PlanChoice.Auto, nPartitions))
+  val DistMuRA = EngineConfig("Dist-mu-RA")
 
   /** Ablation: all fixpoints forced to the global-driver-loop plan. */
-  def distMuRAGld(spark: SparkSession, catalog: Map[String, DataFrame],
-                  constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA (P_gld)", RewriteConfig.all, PlanChoice.ForceGld, nPartitions))
+  val DistMuRAGld = EngineConfig("Dist-mu-RA (P_gld)", plan = PlanChoice.ForceGld)
 
   /** Fig. 7 variant: parallel local worker loops, SetRDD-style. */
-  def distMuRAPlwS(spark: SparkSession, catalog: Map[String, DataFrame],
-                   constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA (P_plw^s)", RewriteConfig.all, PlanChoice.ForcePlwS, nPartitions))
+  val DistMuRAPlwS = EngineConfig("Dist-mu-RA (P_plw^s)", plan = PlanChoice.ForcePlwS)
 
   /** Fig. 7 variant: parallel local worker loops on the per-worker RDBMS
     * (DuckDB substituting PostgreSQL).
     */
-  def distMuRAPlwPg(spark: SparkSession, catalog: Map[String, DataFrame],
-                    constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Dist-mu-RA (P_plw^pg)", RewriteConfig.all, PlanChoice.ForcePlwPg, nPartitions))
+  val DistMuRAPlwPg = EngineConfig("Dist-mu-RA (P_plw^pg)", plan = PlanChoice.ForcePlwPg)
 
   /** BigDatalog-equivalent: semi-naive distributed Datalog with
     * Magic-sets-level optimization (pushes in the written direction only
     * — no fixpoint reversal, no fixpoint merging, Sec. VI) but with
     * decomposable plans (GPS ≈ stable-column P_plw).
     */
-  def bigDatalogLite(spark: SparkSession, catalog: Map[String, DataFrame],
-                     constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("BigDatalog-lite", RewriteConfig.bigDatalogLite, PlanChoice.Auto, nPartitions))
+  val BigDatalogLite = EngineConfig("BigDatalog-lite", RewriteConfig.bigDatalogLite)
 
   /** Myria-equivalent: evaluation of the query as written (no logical
     * optimization of recursion), no P_plw-style decomposed plan — every
@@ -123,9 +118,9 @@ object Engines {
     * iteration, modeling the engine's poorer scaling on large closures
     * (Figs. 12/14; see DESIGN.md §2).
     */
-  def myriaLite(spark: SparkSession, catalog: Map[String, DataFrame],
-                constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
-    new MuRaEngine(spark, catalog, constants,
-      EngineConfig("Myria-lite", RewriteConfig.none, PlanChoice.ForceGld, nPartitions,
-        semiNaive = false))
+  val MyriaLite = EngineConfig("Myria-lite", RewriteConfig.none, PlanChoice.ForceGld, semiNaive = false)
+
+  def distMuRA(spark: SparkSession, catalog: Map[String, DataFrame],
+               constants: Map[String, Any] = Map.empty, nPartitions: Int = 16): MuRaEngine =
+    DistMuRA.engine(spark, catalog, constants, nPartitions)
 }

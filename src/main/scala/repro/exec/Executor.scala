@@ -2,8 +2,6 @@ package repro.exec
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.{broadcast, col, lit}
-import org.apache.spark.sql.types._
-import java.sql.DriverManager
 import scala.jdk.CollectionConverters._
 import repro.core._
 import repro.core.Analysis.Catalog
@@ -24,22 +22,11 @@ object PlanChoice {
   case object ForcePlwPg extends PlanChoice
 }
 
-final case class ExecConfig(
-    plan: PlanChoice = PlanChoice.Auto,
-    nPartitions: Int = 16,
-    maxIters: Int = 100000,
-    /** Semi-naive (differential) iteration: φ applied to the new tuples
-      * only (Algorithm 1). Disabled for the Myria-lite baseline to model
-      * a less efficient recursion engine (see DESIGN.md §2).
-      */
-    semiNaive: Boolean = true,
-)
-
 /** Term → DataFrame evaluation. Non-recursive operators map directly to
   * Dataset operations (optimized by Catalyst, as in Sec. IV); fixpoints
   * dispatch to one of the physical plans below.
   */
-final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: ExecConfig) {
+final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: EngineConfig) {
 
   private val cat: Catalog = env.map { case (n, df) => n -> df.columns.toSet }
 
@@ -85,13 +72,11 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
     val stable = Stabilizer.stableCols(fix, cat).toSeq.sorted
     cfg.plan match {
       case PlanChoice.Auto =>
-        if (stable.nonEmpty) pPlwS(rDf, fix.x, phi, hoisted, stable, finalDistinct = false)
+        if (stable.nonEmpty) pPlwS(rDf, fix.x, phi, hoisted, stable)
         else pGld(rDf, fix.x, phi, hoisted)
-      case PlanChoice.ForceGld => pGld(rDf, fix.x, phi, hoisted)
-      case PlanChoice.ForcePlwS =>
-        pPlwS(rDf, fix.x, phi, hoisted, stable, finalDistinct = stable.isEmpty)
-      case PlanChoice.ForcePlwPg =>
-        pPlwPg(rDf, fix.x, phiBranches, hoisted, stable, finalDistinct = stable.isEmpty)
+      case PlanChoice.ForceGld   => pGld(rDf, fix.x, phi, hoisted)
+      case PlanChoice.ForcePlwS  => pPlwS(rDf, fix.x, phi, hoisted, stable)
+      case PlanChoice.ForcePlwPg => pPlwPg(rDf, fix.x, phiBranches, hoisted, stable)
     }
   }
 
@@ -182,135 +167,74 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Exec
   }
 
   // -------------------------------------------------------------------
-  // P_plw^s: parallel local loops on the workers, SetRDD-style
-  // (Sec. IV-A2 / IV-B)
+  // P_plw: parallel local loops on the workers (Sec. IV-A2 / IV-B)
   // -------------------------------------------------------------------
 
   /** Fixpoint splitting (Prop. 3): repartition the constant part — by the
     * stable column(s) when they exist (then the per-worker fixpoints are
-    * provably disjoint and no final distinct is needed), by row hash
+    * provably disjoint and no final distinct is needed), round-robin
     * otherwise (then one final distinct merges the local results). Each
-    * partition runs its own semi-naive loop against broadcast copies of
-    * φ's constant relations: broadcast joins plus partition-wise
-    * union/set-difference — the SetRDD technique of BigDatalog. No data
-    * crosses the cluster during the recursion.
+    * non-empty partition runs `loop` on broadcast copies of φ's free
+    * relations and its distinct slice of the constant part, in `rDf`'s
+    * column order. No data crosses the cluster during the recursion.
+    * `loop` is the task closure, so it must not capture `this` (it is not
+    * serializable).
     */
-  def pPlwS(rDf: DataFrame, x: String, phi: Term, extra: Map[String, DataFrame],
-            stable: Seq[String], finalDistinct: Boolean): DataFrame = {
-    val schema = rDf.schema
-    val colsVec = schema.fieldNames.toVector
+  private def pPlw(rDf: DataFrame, phi: Term, extra: Map[String, DataFrame], stable: Seq[String])
+                  (loop: (Map[String, LocalRel], Vector[Vector[Any]]) => Iterator[Row]): DataFrame = {
     val e = envWith(extra)
     val localRels: Map[String, LocalRel] = phi.freeRels.map { n =>
       val df = e(n)
       n -> LocalRel(df.columns.toVector, df.collect().toVector.map(r => r.toSeq.toVector))
     }.toMap
     val bc = spark.sparkContext.broadcast(localRels)
-    val xName = x
-    val phiSer = phi
-    val maxIters = cfg.maxIters
     val parted =
       if (stable.nonEmpty) rDf.repartition(cfg.nPartitions, stable.map(col): _*)
       else rDf.repartition(cfg.nPartitions)
     val rowRdd = parted.rdd.mapPartitions { it =>
       val rows = it.map(_.toSeq.toVector).toVector.distinct
-      if (rows.isEmpty) Iterator.empty
-      else {
-        val r0 = LocalRel(colsVec, rows)
-        val res = LocalEval.fixpoint(xName, r0, phiSer, bc.value, Map.empty, maxIters)
-        res.aligned(colsVec).rows.iterator.map(Row.fromSeq)
-      }
+      if (rows.isEmpty) Iterator.empty else loop(bc.value, rows)
     }
-    val df = spark.createDataFrame(rowRdd, schema)
-    if (finalDistinct) df.distinct() else df
+    val df = spark.createDataFrame(rowRdd, rDf.schema)
+    if (stable.isEmpty) df.distinct() else df
   }
 
-  // -------------------------------------------------------------------
-  // P_plw^pg: parallel local loops inside a per-worker RDBMS
-  // (substitution: DuckDB for PostgreSQL — see DESIGN.md)
-  // -------------------------------------------------------------------
-
-  /** Same partitioning as P_plw^s, but each worker loads its slice of the
-    * constant part (the paper's per-worker PostgreSQL *view*) plus φ's
-    * relations into an in-process DuckDB and runs the translated
-    * `WITH RECURSIVE` query, streaming the result back as an iterator.
+  /** `P_plw^s`: each partition runs [[LocalEval.fixpoint]], hash joins
+    * against the broadcast relations plus partition-wise union and set
+    * difference — the SetRDD technique of BigDatalog.
     */
-  def pPlwPg(rDf: DataFrame, x: String, phiBranches: List[Term],
-             extra: Map[String, DataFrame], stable: Seq[String],
-             finalDistinct: Boolean): DataFrame = {
-    val schema = rDf.schema
-    val colsVec = schema.fieldNames.toVector
+  private def pPlwS(rDf: DataFrame, x: String, phi: Term, extra: Map[String, DataFrame],
+                    stable: Seq[String]): DataFrame = {
+    val cols = rDf.columns.toVector
+    val maxIters = cfg.maxIters
+    pPlw(rDf, phi, extra, stable) { (rels, rows) =>
+      LocalEval.fixpoint(x, LocalRel(cols, rows), phi, rels, Map.empty, maxIters)
+        .aligned(cols).rows.iterator.map(Row.fromSeq)
+    }
+  }
+
+  /** `P_plw^pg` (DuckDB substituting PostgreSQL, see DESIGN.md): each
+    * partition loads φ's relations and its slice of the constant part (the
+    * paper's per-worker PostgreSQL *view*) into an in-process database and
+    * runs the translated `WITH RECURSIVE` query.
+    */
+  private def pPlwPg(rDf: DataFrame, x: String, phiBranches: List[Term],
+                     extra: Map[String, DataFrame], stable: Seq[String]): DataFrame = {
     val e = envWith(extra)
     val phi = Term.unionAll(phiBranches)
-    val relNames = phi.freeRels.toSeq.sorted
-    // keyed by the sanitized DuckDB table name: the task closure must not
-    // capture `this` (it is not serializable)
-    val relData: Map[String, (Vector[String], Vector[Vector[Any]], Vector[String])] =
-      relNames.map { n =>
-        val df = e(n)
-        val types = df.schema.fields.map(f => duckType(f.dataType)).toVector
-        (s"rel_${sanitize(n)}", (df.columns.toVector, df.collect().toVector.map(_.toSeq.toVector), types))
-      }.toMap
+    val schemas = phi.freeRels.map(n => n -> e(n).schema).toMap
     val gen = new SqlGen(
-      relTable = relNames.map(n => n -> s"rel_${sanitize(n)}").toMap,
-      relCols = relNames.map(n => n -> e(n).columns.toSeq).toMap)
-    val fixSql = gen.localFixpointQuery(phiBranches, x, "part_r", colsVec)
-    val partTypes = schema.fields.map(f => duckType(f.dataType)).toVector
-    val bc = spark.sparkContext.broadcast(relData)
-    val parted =
-      if (stable.nonEmpty) rDf.repartition(cfg.nPartitions, stable.map(col): _*)
-      else rDf.repartition(cfg.nPartitions)
-    val outTypes = schema.fields.map(_.dataType).toVector
-    val rowRdd = parted.rdd.mapPartitions { it =>
-      val rows = it.map(_.toSeq.toVector).toVector
-      if (rows.isEmpty) Iterator.empty
-      else {
-        Class.forName("org.duckdb.DuckDBDriver")
-        val conn = DriverManager.getConnection("jdbc:duckdb:")
-        try {
-          def load(table: String, cols: Vector[String], types: Vector[String],
-                   data: Vector[Vector[Any]]): Unit = {
-            val ddlCols = cols.zip(types).map { case (c, ty) => s""""$c" $ty""" }.mkString(", ")
-            conn.createStatement.execute(s"CREATE TABLE $table ($ddlCols)")
-            val ps = conn.prepareStatement(
-              s"INSERT INTO $table VALUES (${cols.map(_ => "?").mkString(",")})")
-            data.foreach { r =>
-              r.indices.foreach(i => ps.setObject(i + 1, r(i)))
-              ps.addBatch()
-            }
-            ps.executeBatch(); ps.close()
-          }
-          bc.value.foreach { case (table, (cols, data, types)) =>
-            load(table, cols, types, data)
-          }
-          load("part_r", colsVec, partTypes, rows)
-          val rs = conn.createStatement.executeQuery(fixSql)
-          val buf = Vector.newBuilder[Row]
-          while (rs.next()) {
-            buf += Row.fromSeq(colsVec.indices.map { i =>
-              (outTypes(i), rs.getObject(i + 1)) match {
-                case (LongType, v: Number)    => v.longValue()
-                case (IntegerType, v: Number) => v.intValue()
-                case (DoubleType, v: Number)  => v.doubleValue()
-                case (_, v)                   => v
-              }
-            })
-          }
-          buf.result().iterator
-        } finally conn.close()
-      }
+      relTable = schemas.map { case (n, _) => n -> DuckDb.table(n) },
+      relCols = schemas.map { case (n, s) => n -> s.fieldNames.toSeq })
+    val schema = rDf.schema
+    val fixSql = gen.localFixpointQuery(phiBranches, x, "part_r", schema.fieldNames.toSeq)
+    val types = schema.fields.map(_.dataType).toSeq
+    pPlw(rDf, phi, extra, stable) { (rels, rows) =>
+      DuckDb.withConnection { conn =>
+        rels.foreach { case (n, r) => DuckDb.load(conn, DuckDb.table(n), schemas(n), r.rows) }
+        DuckDb.load(conn, "part_r", schema, rows)
+        DuckDb.query(conn, fixSql, types)
+      }.iterator
     }
-    val df = spark.createDataFrame(rowRdd, schema)
-    if (finalDistinct) df.distinct() else df
-  }
-
-  private def sanitize(n: String): String = n.replaceAll("[^A-Za-z0-9_]", "_")
-
-  private def duckType(dt: DataType): String = dt match {
-    case LongType    => "BIGINT"
-    case IntegerType => "INTEGER"
-    case DoubleType  => "DOUBLE"
-    case StringType  => "VARCHAR"
-    case BooleanType => "BOOLEAN"
-    case other       => throw MuRaError(s"unsupported type for RDBMS backend: $other")
   }
 }

@@ -120,11 +120,6 @@ class AnalysisSpec extends AnyFunSuite {
     assert(example2.body.freeRecVars == Set("X"))
   }
 
-  test("substRec replaces only the matching variable") {
-    val t = Join(RecVar("X"), RecVar("Y"))
-    assert(Analysis.substRec(t, "X", Rel("E")) == Join(Rel("E"), RecVar("Y")))
-  }
-
   test("canonical: α-equivalence modulo recursion variable and middle columns") {
     val c1 = Term.closure(Rel("E"), "X")
     val c2 = Term.closure(Rel("E"), "Zq")

@@ -50,12 +50,13 @@ class EngineSpec extends SparkSpec {
   }
 
   private lazy val engines: Seq[(String, String => org.apache.spark.sql.DataFrame)] = Seq(
-    "Dist-mu-RA" -> Engines.distMuRA(spark, catalog, consts, 4).runQuery _,
-    "Dist-mu-RA (P_gld)" -> Engines.distMuRAGld(spark, catalog, consts, 4).runQuery _,
-    "Dist-mu-RA (P_plw_s)" -> Engines.distMuRAPlwS(spark, catalog, consts, 4).runQuery _,
-    "Dist-mu-RA (P_plw_pg)" -> Engines.distMuRAPlwPg(spark, catalog, consts, 4).runQuery _,
-    "BigDatalog-lite" -> Engines.bigDatalogLite(spark, catalog, consts, 4).runQuery _,
-    "Myria-lite" -> Engines.myriaLite(spark, catalog, consts, 4).runQuery _,
+    "Dist-mu-RA" -> Engines.DistMuRA,
+    "Dist-mu-RA (P_gld)" -> Engines.DistMuRAGld,
+    "Dist-mu-RA (P_plw_s)" -> Engines.DistMuRAPlwS,
+    "Dist-mu-RA (P_plw_pg)" -> Engines.DistMuRAPlwPg,
+    "BigDatalog-lite" -> Engines.BigDatalogLite,
+    "Myria-lite" -> Engines.MyriaLite,
+  ).map { case (name, c) => name -> c.engine(spark, catalog, consts, 4).runQuery _ } ++ Seq(
     "Centralized mu-RA" -> new CentralizedMuRA(spark, catalog, consts).runQuery _,
     "GraphX" -> ((q: String) => GraphXRPQ.runQuery(spark, gDf, q, consts)),
   )
@@ -94,7 +95,7 @@ class EngineSpec extends SparkSpec {
   }
 
   test("BigDatalog-lite cannot push the C2 filter (stays outside the fixpoint)") {
-    val eng = Engines.bigDatalogLite(spark, catalog, consts, 4)
+    val eng = Engines.BigDatalogLite.engine(spark, catalog, consts, 4)
     val plan = eng.plan("?x <- ?x a+ N3")
     def fixHasFilter(t: Term): Boolean = t match {
       case f: Fix =>
@@ -147,7 +148,7 @@ class EngineSpec extends SparkSpec {
     }
     val distEng = Engines.distMuRA(spark, catalog, consts, 4)
     val distPlan = distEng.plan("?x,?y <- ?x a+/b+ ?y")
-    val bdPlan = Engines.bigDatalogLite(spark, catalog, consts, 4).plan("?x,?y <- ?x a+/b+ ?y")
+    val bdPlan = Engines.BigDatalogLite.engine(spark, catalog, consts, 4).plan("?x,?y <- ?x a+/b+ ?y")
     // Dist-μ-RA's plan uses merge/push-join: no join of two materialized
     // closures (the chosen plan nests one fixpoint in the other's base or
     // merges them into a single fixpoint — the paper's "mixture").

@@ -27,7 +27,8 @@ class ExecutorSpec extends SparkSpec {
 
   private lazy val env = rawEnv.map { case (n, df) => n -> sized(df) }
 
-  private def cfg(plan: PlanChoice, nPart: Int = 4) = ExecConfig(plan, nPart, maxIters = 1000)
+  private def cfg(plan: PlanChoice, nPart: Int = 4) =
+    EngineConfig(plan = plan, nPartitions = nPart, maxIters = 1000)
 
   private def exec(plan: PlanChoice, nPart: Int = 4) = new Executor(spark, env, cfg(plan, nPart))
 
@@ -36,7 +37,7 @@ class ExecutorSpec extends SparkSpec {
   /** A plan paired with how its inputs are bound. On cached inputs P_gld
     * joins φ's relations by broadcast; on uncached ones by shuffle.
     */
-  private final class Run(cfg: ExecConfig, cached: Boolean = true) {
+  private final class Run(cfg: EngineConfig, cached: Boolean = true) {
     def input(df: DataFrame): DataFrame = if (cached) sized(df) else df
     def on(rels: Map[String, DataFrame]): Executor = new Executor(spark, rels, cfg)
     def exec: Executor = on(if (cached) env else rawEnv)
@@ -69,7 +70,7 @@ class ExecutorSpec extends SparkSpec {
 
   test("column-equality filter") {
     val withLoop = edgeDf(spark, paperE + ((3L, 3L)))
-    val ex = new Executor(spark, Map("E" -> withLoop), ExecConfig())
+    val ex = new Executor(spark, Map("E" -> withLoop), EngineConfig())
     assert(toPairs(ex.eval(Filter(EqCols("src", "trg"), Rel("E")))) == Set((3L, 3L)))
   }
 
@@ -150,7 +151,7 @@ class ExecutorSpec extends SparkSpec {
   }
 
   test("maxIters guard fires in P_gld") {
-    val ex = new Executor(spark, env, ExecConfig(PlanChoice.ForceGld, 4, maxIters = 1))
+    val ex = new Executor(spark, env, cfg(PlanChoice.ForceGld).copy(maxIters = 1))
     assertThrows[MuRaError](ex.eval(closureE).count())
   }
 
@@ -203,7 +204,7 @@ class ExecutorSpec extends SparkSpec {
     Seq(
       "P_gld" -> new Executor(spark, rels, gld).eval _,
       "P_gld (shuffle joins)" -> new Executor(spark, raw, gld).eval _,
-      "Myria-lite" -> Engines.myriaLite(spark, rels, Map.empty, 4).run _)
+      "Myria-lite" -> Engines.MyriaLite.engine(spark, rels, Map.empty, 4).run _)
   }
 
   test("same generation on a random tree: P_gld variants and Myria-lite match LocalEval") {

@@ -1,6 +1,6 @@
 package repro.exec
 
-import java.sql.DriverManager
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.core.TestGraphs._
@@ -10,19 +10,15 @@ import repro.core.TestGraphs._
   */
 class SqlGenSpec extends AnyFunSuite {
 
-  private def withDuck[A](tables: Map[String, Set[(Long, Long)]])(f: java.sql.Connection => A): A = {
-    Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
+  private val edgeSchema = StructType(Seq(StructField("src", LongType), StructField("trg", LongType)))
+
+  private def withDuck[A](tables: Map[String, Set[(Long, Long)]])(f: java.sql.Connection => A): A =
+    DuckDb.withConnection { conn =>
       tables.foreach { case (n, rows) =>
-        conn.createStatement.execute(s"""CREATE TABLE $n ("src" BIGINT, "trg" BIGINT)""")
-        val ps = conn.prepareStatement(s"INSERT INTO $n VALUES (?, ?)")
-        rows.foreach { case (a, b) => ps.setLong(1, a); ps.setLong(2, b); ps.addBatch() }
-        ps.executeBatch(); ps.close()
+        DuckDb.load(conn, n, edgeSchema, rows.map { case (a, b) => Seq(a, b) })
       }
       f(conn)
-    } finally conn.close()
-  }
+    }
 
   private def gen = new SqlGen(
     relTable = Map("E" -> "e_tab", "S" -> "s_tab"),
