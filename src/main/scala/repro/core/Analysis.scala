@@ -131,36 +131,35 @@ object Analysis {
   }
 
   /** Canonical form for structural memoization and α-equivalence:
-    * recursive variable names and every column name *not* in the free
+    * recursive variables and every column name *not* in the free
     * interface (base-relation schemas and the output sort) are renamed to
-    * a canonical numbering in traversal order.
+    * a canonical numbering in traversal order. Each fixpoint's binder gets
+    * its own number, so two fixpoints that reuse a name are told apart.
     */
   def canonical(t: Term, cat: Catalog): Term = {
     val interface: Set[String] =
       t.freeRels.flatMap(cat.getOrElse(_, Set.empty[String])) ++ sort(t, cat)
     var colMap = Map.empty[String, String]
-    var recMap = Map.empty[String, String]
+    var freeRec = Map.empty[String, String]
+    var recCount = 0
     def colOf(c: String): String =
       if (interface.contains(c)) c
       else colMap.getOrElse(c, { val n = s"#c${colMap.size}"; colMap += c -> n; n })
-    def recOf(x: String): String =
-      recMap.getOrElse(x, { val n = s"#x${recMap.size}"; recMap += x -> n; n })
+    def nextRec(): String = { val n = s"#x$recCount"; recCount += 1; n }
     def condOf(c: Cond): Cond = c match {
       case EqConst(col, v) => EqConst(colOf(col), v)
       case EqCols(a, b)    => EqCols(colOf(a), colOf(b))
     }
-    def go(u: Term): Term = u match {
-      case Rel(n)          => Rel(n)
-      case RecVar(x)       => RecVar(recOf(x))
-      case Filter(c, s)    => Filter(condOf(c), go(s))
-      case Join(l, r)      => Join(go(l), go(r))
-      case Antijoin(l, r)  => Antijoin(go(l), go(r))
-      case Union(l, r)     => Union(go(l), go(r))
-      case AntiProj(c, s)  => { val s2 = go(s); AntiProj(colOf(c), s2) }
-      case Rename(f, o, s) => { val s2 = go(s); Rename(colOf(f), colOf(o), s2) }
-      case Fix(x, body)    => { val xx = recOf(x); Fix(xx, go(body)) }
+    def go(u: Term, bound: Map[String, String]): Term = u match {
+      case RecVar(x) =>
+        RecVar(bound.getOrElse(x, freeRec.getOrElse(x, { val n = nextRec(); freeRec += x -> n; n })))
+      case Fix(x, body)    => { val xx = nextRec(); Fix(xx, go(body, bound + (x -> xx))) }
+      case Filter(c, s)    => Filter(condOf(c), go(s, bound))
+      case AntiProj(c, s)  => { val s2 = go(s, bound); AntiProj(colOf(c), s2) }
+      case Rename(f, o, s) => { val s2 = go(s, bound); Rename(colOf(f), colOf(o), s2) }
+      case other           => other.mapChildren(go(_, bound))
     }
-    go(t)
+    go(t, Map.empty)
   }
 
   /** α-equivalence modulo recursive-variable names and internal

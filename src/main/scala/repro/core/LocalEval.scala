@@ -40,71 +40,91 @@ object LocalRel {
   */
 object LocalEval {
 
+  /** Join key values → the rows that carry them. */
+  private type Index = Map[Vector[Any], Vector[Vector[Any]]]
+
   /** Evaluate a term. `env` binds base relations, `rec` bound recursive
     * variables. The result is deduplicated (set semantics).
     */
   def eval(t: Term, env: Map[String, LocalRel],
            rec: Map[String, LocalRel] = Map.empty,
-           maxIters: Int = 1_000_000): LocalRel = t match {
-    case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
-    case RecVar(x) => rec.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
+           maxIters: Int = 1_000_000): LocalRel =
+    new Eval(env, maxIters)(t, rec)
 
-    case Filter(EqConst(c, v), s) =>
-      val r = eval(s, env, rec, maxIters)
-      val i = r.colIdx(c)
-      LocalRel(r.cols, r.rows.filter(_(i) == v))
+  /** An evaluator over fixed base relations `env`. The hash index of a
+    * relation of `env` joined directly (`Rel(n) ⋈ …`, either side, or the
+    * right side of `▷`) is built once per key and reused by every later
+    * evaluation through this evaluator.
+    */
+  private final class Eval(env: Map[String, LocalRel], maxIters: Int) {
+    private val indexes = mutable.HashMap.empty[(String, Vector[String]), Index]
 
-    case Filter(EqCols(a, b), s) =>
-      val r = eval(s, env, rec, maxIters)
-      val ia = r.colIdx(a); val ib = r.colIdx(b)
-      LocalRel(r.cols, r.rows.filter(row => row(ia) == row(ib)))
+    /** The cached index of `t` on a key, when `t` is a relation of `env`. */
+    private def indexOf(t: Term): Option[Vector[String] => Index] = t match {
+      case Rel(n) if env.contains(n) =>
+        Some(key => indexes.getOrElseUpdate((n, key), index(env(n), key)))
+      case _ => None
+    }
 
-    case Join(l, r) =>
-      val lr = eval(l, env, rec, maxIters)
-      val rr = eval(r, env, rec, maxIters)
-      join(lr, rr)
+    def apply(t: Term, rec: Map[String, LocalRel]): LocalRel = t match {
+      case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
+      case RecVar(x) => rec.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
 
-    case Antijoin(l, r) =>
-      val lr = eval(l, env, rec, maxIters)
-      val rr = eval(r, env, rec, maxIters)
-      antijoin(lr, rr)
+      case Filter(EqConst(c, v), s) =>
+        val r = apply(s, rec)
+        val i = r.colIdx(c)
+        LocalRel(r.cols, r.rows.filter(_(i) == v))
 
-    case Union(l, r) =>
-      val lr = eval(l, env, rec, maxIters)
-      val rr = eval(r, env, rec, maxIters).aligned(lr.cols)
-      LocalRel(lr.cols, (lr.rows ++ rr.rows).distinct)
+      case Filter(EqCols(a, b), s) =>
+        val r = apply(s, rec)
+        val ia = r.colIdx(a); val ib = r.colIdx(b)
+        LocalRel(r.cols, r.rows.filter(row => row(ia) == row(ib)))
 
-    case AntiProj(c, s) =>
-      val r = eval(s, env, rec, maxIters)
-      val i = r.colIdx(c)
-      LocalRel(r.cols.patch(i, Nil, 1), r.rows.map(row => row.patch(i, Nil, 1)).distinct)
+      case Join(l, r) =>
+        join(apply(l, rec), apply(r, rec), indexOf(l), indexOf(r))
 
-    case Rename(f, to, s) =>
-      val r = eval(s, env, rec, maxIters)
-      val i = r.colIdx(f)
-      if (r.cols.contains(to)) throw MuRaError(s"rename target $to already present in ${r.cols}")
-      LocalRel(r.cols.updated(i, to), r.rows)
+      case Antijoin(l, r) =>
+        antijoin(apply(l, rec), apply(r, rec), indexOf(r))
 
-    case Fix(x, body) =>
-      val branches = Term.unionBranches(body)
-      val (varB, constB) = branches.partition(_.usesRec(x))
-      if (constB.isEmpty) throw MuRaError(s"fixpoint without constant part: ${t.pretty}")
-      val r0 = constB.map(eval(_, env, rec, maxIters)).reduceLeft { (a, b) =>
-        LocalRel(a.cols, (a.rows ++ b.aligned(a.cols).rows).distinct)
-      }
-      val phi = if (varB.isEmpty) None else Some(Term.unionAll(varB))
-      phi match {
-        case None => r0.distinct
-        case Some(p) => fixpoint(x, r0.distinct, p, env, rec, maxIters)
-      }
+      case Union(l, r) =>
+        val lr = apply(l, rec)
+        val rr = apply(r, rec).aligned(lr.cols)
+        LocalRel(lr.cols, (lr.rows ++ rr.rows).distinct)
+
+      case AntiProj(c, s) =>
+        val r = apply(s, rec)
+        val i = r.colIdx(c)
+        LocalRel(r.cols.patch(i, Nil, 1), r.rows.map(row => row.patch(i, Nil, 1)).distinct)
+
+      case Rename(f, to, s) =>
+        val r = apply(s, rec)
+        val i = r.colIdx(f)
+        if (r.cols.contains(to)) throw MuRaError(s"rename target $to already present in ${r.cols}")
+        LocalRel(r.cols.updated(i, to), r.rows)
+
+      case Fix(x, body) =>
+        val branches = Term.unionBranches(body)
+        val (varB, constB) = branches.partition(_.usesRec(x))
+        if (constB.isEmpty) throw MuRaError(s"fixpoint without constant part: ${t.pretty}")
+        val r0 = constB.map(apply(_, rec)).reduceLeft { (a, b) =>
+          LocalRel(a.cols, (a.rows ++ b.aligned(a.cols).rows).distinct)
+        }
+        if (varB.isEmpty) r0.distinct
+        else fixpoint(x, r0.distinct, Term.unionAll(varB), env, rec, maxIters)
+    }
   }
 
   /** Semi-naive loop (Algorithm 1 of the paper): apply φ to the new
-    * tuples only, which is sound under F_cond by Proposition 1.
+    * tuples only, which is sound under F_cond by Proposition 1. φ's
+    * maximal constant subterms are evaluated once, before the loop, and
+    * each one's join index is built once, on first use.
     */
   def fixpoint(x: String, r0: LocalRel, phi: Term,
                env: Map[String, LocalRel], rec: Map[String, LocalRel],
                maxIters: Int): LocalRel = {
+    val (step, consts) = Term.splitConstants(phi, x, "__const_")(_ => true)
+    val outer = new Eval(env, maxIters)
+    val stepEval = new Eval(consts.map { case (n, c) => n -> outer(c, rec) }.toMap, maxIters)
     val cols = r0.cols
     val total = mutable.LinkedHashSet.empty[Vector[Any]]
     total ++= r0.rows
@@ -114,7 +134,7 @@ object LocalEval {
       if (Thread.interrupted()) throw new InterruptedException("fixpoint cancelled")
       iters += 1
       if (iters > maxIters) throw MuRaError(s"fixpoint exceeded $maxIters iterations")
-      val produced = eval(phi, env, rec + (x -> delta), maxIters).aligned(cols)
+      val produced = stepEval(step, rec + (x -> delta)).aligned(cols)
       val fresh = produced.rows.filterNot(total.contains)
       total ++= fresh
       delta = LocalRel(cols, fresh)
@@ -122,41 +142,48 @@ object LocalEval {
     LocalRel(cols, total.toVector)
   }
 
-  /** Hash natural join; cartesian product when no common columns. */
-  def join(l: LocalRel, r: LocalRel): LocalRel = {
+  /** `r`'s rows grouped by their values of the columns `key`. */
+  private def index(r: LocalRel, key: Vector[String]): Index = {
+    val k = key.map(r.colIdx)
+    r.rows.groupBy(row => k.map(row))
+  }
+
+  /** Hash natural join; cartesian product when no common columns. It
+    * probes the given index of the right side, or else of the left side,
+    * on the common columns; with neither, it indexes the right side.
+    */
+  private def join(l: LocalRel, r: LocalRel,
+                   lIndex: Option[Vector[String] => Index],
+                   rIndex: Option[Vector[String] => Index]): LocalRel = {
     val common = l.cols.filter(r.cols.contains)
     val rExtraIdx = r.cols.zipWithIndex.collect { case (c, i) if !common.contains(c) => i }
     val outCols = l.cols ++ rExtraIdx.map(r.cols)
-    if (common.isEmpty) {
-      LocalRel(outCols, for (a <- l.rows; b <- r.rows) yield a ++ b)
-    } else {
-      val lKey = common.map(l.colIdx)
-      val rKey = common.map(r.colIdx)
-      val index = mutable.HashMap.empty[Vector[Any], mutable.ArrayBuffer[Vector[Any]]]
-      r.rows.foreach { row =>
-        index.getOrElseUpdate(rKey.map(row), mutable.ArrayBuffer.empty) += row
+    val out =
+      if (common.isEmpty) for (a <- l.rows; b <- r.rows) yield a ++ b
+      else if (rIndex.nonEmpty || lIndex.isEmpty) {
+        val lKey = common.map(l.colIdx)
+        val idx = rIndex.fold(index(r, common))(_(common))
+        for (a <- l.rows; b <- idx.getOrElse(lKey.map(a), Vector.empty)) yield a ++ rExtraIdx.map(b)
+      } else {
+        val rKey = common.map(r.colIdx)
+        val idx = lIndex.get(common)
+        for (b <- r.rows; a <- idx.getOrElse(rKey.map(b), Vector.empty)) yield a ++ rExtraIdx.map(b)
       }
-      val out = Vector.newBuilder[Vector[Any]]
-      l.rows.foreach { a =>
-        index.get(lKey.map(a)).foreach { bs =>
-          bs.foreach(b => out += (a ++ rExtraIdx.map(b)))
-        }
-      }
-      LocalRel(outCols, out.result())
-    }
+    LocalRel(outCols, out)
   }
 
-  /** Hash anti-join on common columns; `l ▷ r = l` when r is empty and
-    * there are no common columns, ∅ otherwise.
+  /** Hash anti-join on common columns, probing the given index of the
+    * right side if any; `l ▷ r = l` when r is empty and there are no
+    * common columns, ∅ otherwise.
     */
-  def antijoin(l: LocalRel, r: LocalRel): LocalRel = {
+  private def antijoin(l: LocalRel, r: LocalRel,
+                       rIndex: Option[Vector[String] => Index]): LocalRel = {
     val common = l.cols.filter(r.cols.contains)
     if (common.isEmpty) {
       if (r.rows.isEmpty) l else LocalRel(l.cols, Vector.empty)
     } else {
       val lKey = common.map(l.colIdx)
-      val rKey = common.map(r.colIdx)
-      val keys = r.rows.iterator.map(rKey.map(_)).toSet
+      val keys = rIndex.fold(index(r, common))(_(common))
       LocalRel(l.cols, l.rows.filterNot(a => keys.contains(lKey.map(a))))
     }
   }

@@ -344,7 +344,7 @@ object Rewriter {
           // F2 must append B on its t side: its step renames X on t and B on m.
           if (l1.xCol != s || l1.eCol != m || l2.xCol != t || l2.eCol != m)
             return Vector.empty
-          val z = Fresh.recVar()
+          val z = Fresh.recVar(u.recVarNames ++ rec.keySet)
           val base = AntiProj(m, Join(Term.unionAll(l1.constBranches), Term.unionAll(l2.constBranches)))
           val avoid = l1.e.allColNames ++ l2.e.allColNames ++ Set(s, m, t) ++
             l1.constBranches.flatMap(_.allColNames) ++ l2.constBranches.flatMap(_.allColNames)

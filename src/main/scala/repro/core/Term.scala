@@ -66,6 +66,44 @@ sealed trait Term {
   /** True iff the recursive variable `x` occurs free in this term. */
   def usesRec(x: String): Boolean = freeRecVars.contains(x)
 
+  /** Every recursive variable name in the term, bound or free. Used to
+    * pick fresh names.
+    */
+  lazy val recVarNames: Set[String] = this match {
+    case RecVar(x)    => Set(x)
+    case Fix(x, body) => body.recVarNames + x
+    case _            => children.flatMap(_.recVarNames).toSet
+  }
+
+  /** The direct subterms, left to right. */
+  def children: List[Term] = this match {
+    case Rel(_) | RecVar(_) => Nil
+    case Filter(_, t)       => List(t)
+    case Join(l, r)         => List(l, r)
+    case Antijoin(l, r)     => List(l, r)
+    case Union(l, r)        => List(l, r)
+    case AntiProj(_, t)     => List(t)
+    case Rename(_, _, t)    => List(t)
+    case Fix(_, body)       => List(body)
+  }
+
+  /** The same operator over `f` of each direct subterm, applied left to
+    * right.
+    */
+  def mapChildren(f: Term => Term): Term = this match {
+    case Rel(_) | RecVar(_) => this
+    case Filter(c, t)       => Filter(c, f(t))
+    case Join(l, r)         => Join(f(l), f(r))
+    case Antijoin(l, r)     => Antijoin(f(l), f(r))
+    case Union(l, r)        => Union(f(l), f(r))
+    case AntiProj(c, t)     => AntiProj(c, f(t))
+    case Rename(a, b, t)    => Rename(a, b, f(t))
+    case Fix(x, body)       => Fix(x, f(body))
+  }
+
+  /** True iff `p` holds for this term or any of its subterms. */
+  def exists(p: Term => Boolean): Boolean = p(this) || children.exists(_.exists(p))
+
   /** Every column name mentioned anywhere in the term (including
     * intermediate names introduced by renames). Used to pick fresh names.
     */
@@ -156,8 +194,29 @@ object Term {
     * `μ(X = t ∪ compose(X, t))`.
     */
   def closure(t: Term, varName: String = null): Term = {
-    val x = if (varName != null) varName else Fresh.recVar()
+    val x = if (varName != null) varName else Fresh.recVar(t.recVarNames)
     Fix(x, Union(t, compose(RecVar(x), t)))
+  }
+
+  /** Replace each maximal subterm of `t` that does not use the recursive
+    * variable `x` and satisfies `hoist` by a relation named `prefix` + i,
+    * with i = 0, 1, … in left-to-right order. Returns the rewritten term
+    * and the replaced subterms by name, in that order. Evaluating them
+    * once and binding the names gives `t`'s value for every value of `x`.
+    */
+  def splitConstants(t: Term, x: String, prefix: String)
+                    (hoist: Term => Boolean): (Term, List[(String, Term)]) = {
+    val consts = List.newBuilder[(String, Term)]
+    var n = 0
+    def go(u: Term): Term =
+      if (!u.usesRec(x) && hoist(u)) {
+        val name = s"$prefix$n"
+        n += 1
+        consts += name -> u
+        Rel(name)
+      } else u.mapChildren(go)
+    val rest = go(t)
+    (rest, consts.result())
   }
 
   /** Uniformly rename every occurrence of column name `from` to `to`
@@ -204,12 +263,12 @@ object Cols {
   * structural memoization in the rewriter).
   */
 object Fresh {
-  def col(avoid: Set[String], base: String = "m"): String = {
-    var i = 1
-    while (avoid.contains(s"${base}_$i")) i += 1
-    s"${base}_$i"
-  }
+  /** The first of `base`_1, `base`_2, … not in `avoid`. */
+  def col(avoid: Set[String], base: String = "m"): String = first(avoid)(i => s"${base}_$i")
 
-  private val recCounter = new java.util.concurrent.atomic.AtomicInteger(0)
-  def recVar(): String = s"X${recCounter.incrementAndGet()}"
+  /** The first of X1, X2, … not in `avoid`. */
+  def recVar(avoid: Set[String]): String = first(avoid)(i => s"X$i")
+
+  private def first(avoid: Set[String])(name: Int => String): String =
+    Iterator.from(1).map(name).find(!avoid.contains(_)).get
 }

@@ -35,26 +35,33 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Engi
 
   def eval(t: Term): DataFrame = evalRec(t, Map.empty)
 
-  private def evalRec(t: Term, rec: Map[String, DataFrame]): DataFrame = t match {
-    case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
-    case RecVar(x) => rec.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
-    case Filter(EqConst(c, v), s) => evalRec(s, rec).filter(col(c) === lit(v))
-    case Filter(EqCols(a, b), s)  => evalRec(s, rec).filter(col(a) === col(b))
-    case Join(l, r) =>
-      val dl = evalRec(l, rec); val dr = evalRec(r, rec)
-      val common = dl.columns.toSet intersect dr.columns.toSet
-      if (common.isEmpty) dl.crossJoin(dr) else dl.join(dr, common.toSeq.sorted)
-    case Antijoin(l, r) =>
-      val dl = evalRec(l, rec); val dr = evalRec(r, rec)
-      val common = dl.columns.toSet intersect dr.columns.toSet
-      if (common.nonEmpty) dl.join(dr, common.toSeq.sorted, "left_anti")
-      else if (dr.isEmpty) dl
-      else dl.limit(0)
-    case Union(l, r) =>
-      evalRec(l, rec).unionByName(evalRec(r, rec)).distinct()
-    case AntiProj(c, s) => evalRec(s, rec).drop(c).distinct()
-    case Rename(f, to, s) => evalRec(s, rec).withColumnRenamed(f, to)
-    case fix: Fix => evalFix(fix, rec)
+  /** `t` as a DataFrame. With `bag`, unions and anti-projections keep
+    * duplicate rows instead of shuffling to remove them, and the caller
+    * removes them: `P_plw` does so on the driver and in each partition.
+    */
+  private def evalRec(t: Term, rec: Map[String, DataFrame], bag: Boolean = false): DataFrame = {
+    def ev(u: Term): DataFrame = evalRec(u, rec, bag)
+    def set(df: DataFrame): DataFrame = if (bag) df else df.distinct()
+    t match {
+      case Rel(n) => env.getOrElse(n, throw MuRaError(s"unbound relation $n"))
+      case RecVar(x) => rec.getOrElse(x, throw MuRaError(s"unbound recursive variable $x"))
+      case Filter(EqConst(c, v), s) => ev(s).filter(col(c) === lit(v))
+      case Filter(EqCols(a, b), s)  => ev(s).filter(col(a) === col(b))
+      case Join(l, r) =>
+        val dl = ev(l); val dr = ev(r)
+        val common = dl.columns.toSet intersect dr.columns.toSet
+        if (common.isEmpty) dl.crossJoin(dr) else dl.join(dr, common.toSeq.sorted)
+      case Antijoin(l, r) =>
+        val dl = ev(l); val dr = ev(r)
+        val common = dl.columns.toSet intersect dr.columns.toSet
+        if (common.nonEmpty) dl.join(dr, common.toSeq.sorted, "left_anti")
+        else if (dr.isEmpty) dl
+        else dl.limit(0)
+      case Union(l, r) => set(ev(l).unionByName(ev(r)))
+      case AntiProj(c, s) => set(ev(s).drop(c))
+      case Rename(f, to, s) => ev(s).withColumnRenamed(f, to)
+      case fix: Fix => evalFix(fix, rec)
+    }
   }
 
   // -------------------------------------------------------------------
@@ -63,57 +70,34 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Engi
 
   private def evalFix(fix: Fix, rec: Map[String, DataFrame]): DataFrame = {
     val (constT, varB) = Analysis.decompose(fix, cat)
-    val rDf = evalRec(constT, rec).distinct()
-    if (varB.isEmpty) return rDf
-    // Materialize constant subterms of φ that contain fixpoints so they
-    // are computed once, not per iteration / per worker.
-    val (phiBranches, hoisted) = hoistConstants(varB, fix.x, rec)
-    val phi = Term.unionAll(phiBranches)
+    if (varB.isEmpty) return evalRec(constT, rec).distinct()
+    val x = fix.x
+    val phi = Term.unionAll(varB)
     val stable = Stabilizer.stableCols(fix, cat).toSeq.sorted
-    cfg.plan match {
-      case PlanChoice.Auto =>
-        if (stable.nonEmpty) pPlwS(rDf, fix.x, phi, hoisted, stable)
-        else pGld(rDf, fix.x, phi, hoisted)
-      case PlanChoice.ForceGld   => pGld(rDf, fix.x, phi, hoisted)
-      case PlanChoice.ForcePlwS  => pPlwS(rDf, fix.x, phi, hoisted, stable)
-      case PlanChoice.ForcePlwPg => pPlwPg(rDf, fix.x, phiBranches, hoisted, stable)
+    val gld = cfg.plan == PlanChoice.ForceGld || (cfg.plan == PlanChoice.Auto && stable.isEmpty)
+    if (gld) {
+      val (step, hoisted) = hoistConstants(phi, x, rec)
+      pGld(evalRec(constT, rec).distinct(), x, step, hoisted)
+    } else {
+      // The constant part and every maximal constant subterm of φ,
+      // evaluated by Catalyst as bags: the local loops receive only these.
+      val rDf = evalRec(constT, rec, bag = true)
+      val (step, consts) = Term.splitConstants(phi, x, "__const_")(_ => true)
+      val constDfs = consts.map { case (n, c) => n -> evalRec(c, rec, bag = true) }
+      if (cfg.plan == PlanChoice.ForcePlwPg) pPlwPg(rDf, x, step, constDfs, stable)
+      else pPlwS(rDf, x, step, constDfs, stable)
     }
   }
 
   /** Replace maximal constant subterms of φ that contain a fixpoint by
-    * fresh relation names bound to materialized DataFrames.
+    * fresh relation names bound to materialized DataFrames, so that they
+    * are computed once, not per iteration.
     */
-  private def hoistConstants(branches: List[Term], x: String,
-                             rec: Map[String, DataFrame]): (List[Term], Map[String, DataFrame]) = {
-    var extra = Map.empty[String, DataFrame]
-    def containsFix(t: Term): Boolean = t match {
-      case Fix(_, _)       => true
-      case Rel(_) | RecVar(_) => false
-      case Filter(_, s)    => containsFix(s)
-      case AntiProj(_, s)  => containsFix(s)
-      case Rename(_, _, s) => containsFix(s)
-      case Join(l, r)      => containsFix(l) || containsFix(r)
-      case Antijoin(l, r)  => containsFix(l) || containsFix(r)
-      case Union(l, r)     => containsFix(l) || containsFix(r)
-    }
-    def go(t: Term): Term =
-      if (!t.usesRec(x) && containsFix(t)) {
-        val name = s"__hoist_${extra.size}"
-        extra += name -> evalRec(t, rec).localCheckpoint(true)
-        Rel(name)
-      } else t match {
-        case Filter(c, s)    => Filter(c, go(s))
-        case AntiProj(c, s)  => AntiProj(c, go(s))
-        case Rename(f, o, s) => Rename(f, o, go(s))
-        case Join(l, r)      => Join(go(l), go(r))
-        case Antijoin(l, r)  => Antijoin(go(l), go(r))
-        case Union(l, r)     => Union(go(l), go(r))
-        case other           => other
-      }
-    (branches.map(go), extra)
+  private def hoistConstants(phi: Term, x: String,
+                             rec: Map[String, DataFrame]): (Term, Map[String, DataFrame]) = {
+    val (step, consts) = Term.splitConstants(phi, x, "__hoist_")(_.exists(_.isInstanceOf[Fix]))
+    (step, consts.map { case (n, c) => n -> evalRec(c, rec).localCheckpoint(true) }.toMap)
   }
-
-  private def envWith(extra: Map[String, DataFrame]): Map[String, DataFrame] = env ++ extra
 
   // -------------------------------------------------------------------
   // P_gld: global loop on the driver (Sec. IV-A1, Algorithm 1)
@@ -158,7 +142,7 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Engi
     * session's `spark.sql.autoBroadcastJoinThreshold`.
     */
   private[exec] def gldRels(phi: Term, extra: Map[String, DataFrame]): Map[String, DataFrame] = {
-    val e = envWith(extra)
+    val e = env ++ extra
     phi.freeRels.map { n =>
       val df = e(n)
       n -> (if (df.queryExecution.optimizedPlan.stats.sizeInBytes > GldBroadcastBytes) df
@@ -170,22 +154,23 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Engi
   // P_plw: parallel local loops on the workers (Sec. IV-A2 / IV-B)
   // -------------------------------------------------------------------
 
-  /** Fixpoint splitting (Prop. 3): repartition the constant part — by the
-    * stable column(s) when they exist (then the per-worker fixpoints are
-    * provably disjoint and no final distinct is needed), round-robin
-    * otherwise (then one final distinct merges the local results). Each
-    * non-empty partition runs `loop` on broadcast copies of φ's free
-    * relations and its distinct slice of the constant part, in `rDf`'s
-    * column order. No data crosses the cluster during the recursion.
+  /** Fixpoint splitting (Prop. 3): repartition the constant part `rDf` —
+    * by the stable column(s) when they exist (then the per-worker
+    * fixpoints are provably disjoint and no final distinct is needed),
+    * round-robin otherwise (then one final distinct merges the local
+    * results). `consts` are φ's maximal constant subterms: each is
+    * collected once, deduplicated and broadcast. Each non-empty partition
+    * runs `loop` on them and its distinct slice of the constant part, in
+    * `rDf`'s column order. `rDf` may be a bag: by stable columns a row's
+    * duplicates land in one partition, and round-robin the final distinct
+    * merges them. No data crosses the cluster during the recursion.
     * `loop` is the task closure, so it must not capture `this` (it is not
     * serializable).
     */
-  private def pPlw(rDf: DataFrame, phi: Term, extra: Map[String, DataFrame], stable: Seq[String])
+  private def pPlw(rDf: DataFrame, consts: List[(String, DataFrame)], stable: Seq[String])
                   (loop: (Map[String, LocalRel], Vector[Vector[Any]]) => Iterator[Row]): DataFrame = {
-    val e = envWith(extra)
-    val localRels: Map[String, LocalRel] = phi.freeRels.map { n =>
-      val df = e(n)
-      n -> LocalRel(df.columns.toVector, df.collect().toVector.map(r => r.toSeq.toVector))
+    val localRels: Map[String, LocalRel] = consts.map { case (n, df) =>
+      n -> LocalRel(df.columns.toVector, df.collect().toVector.map(r => r.toSeq.toVector).distinct)
     }.toMap
     val bc = spark.sparkContext.broadcast(localRels)
     val parted =
@@ -200,36 +185,35 @@ final class Executor(spark: SparkSession, env: Map[String, DataFrame], cfg: Engi
   }
 
   /** `P_plw^s`: each partition runs [[LocalEval.fixpoint]], hash joins
-    * against the broadcast relations plus partition-wise union and set
-    * difference — the SetRDD technique of BigDatalog.
+    * against the broadcast constants (each indexed once per partition) plus
+    * partition-wise union and set difference — the SetRDD technique of
+    * BigDatalog.
     */
-  private def pPlwS(rDf: DataFrame, x: String, phi: Term, extra: Map[String, DataFrame],
+  private def pPlwS(rDf: DataFrame, x: String, step: Term, consts: List[(String, DataFrame)],
                     stable: Seq[String]): DataFrame = {
     val cols = rDf.columns.toVector
     val maxIters = cfg.maxIters
-    pPlw(rDf, phi, extra, stable) { (rels, rows) =>
-      LocalEval.fixpoint(x, LocalRel(cols, rows), phi, rels, Map.empty, maxIters)
+    pPlw(rDf, consts, stable) { (rels, rows) =>
+      LocalEval.fixpoint(x, LocalRel(cols, rows), step, rels, Map.empty, maxIters)
         .aligned(cols).rows.iterator.map(Row.fromSeq)
     }
   }
 
   /** `P_plw^pg` (DuckDB substituting PostgreSQL, see DESIGN.md): each
-    * partition loads φ's relations and its slice of the constant part (the
-    * paper's per-worker PostgreSQL *view*) into an in-process database and
-    * runs the translated `WITH RECURSIVE` query.
+    * partition loads the broadcast constants and its slice of the constant
+    * part (the paper's per-worker PostgreSQL *view*) into an in-process
+    * database and runs the translated `WITH RECURSIVE` query.
     */
-  private def pPlwPg(rDf: DataFrame, x: String, phiBranches: List[Term],
-                     extra: Map[String, DataFrame], stable: Seq[String]): DataFrame = {
-    val e = envWith(extra)
-    val phi = Term.unionAll(phiBranches)
-    val schemas = phi.freeRels.map(n => n -> e(n).schema).toMap
+  private def pPlwPg(rDf: DataFrame, x: String, step: Term, consts: List[(String, DataFrame)],
+                     stable: Seq[String]): DataFrame = {
+    val schemas = consts.map { case (n, df) => n -> df.schema }.toMap
     val gen = new SqlGen(
       relTable = schemas.map { case (n, _) => n -> DuckDb.table(n) },
       relCols = schemas.map { case (n, s) => n -> s.fieldNames.toSeq })
     val schema = rDf.schema
-    val fixSql = gen.localFixpointQuery(phiBranches, x, "part_r", schema.fieldNames.toSeq)
+    val fixSql = gen.localFixpointQuery(Term.unionBranches(step), x, "part_r", schema.fieldNames.toSeq)
     val types = schema.fields.map(_.dataType).toSeq
-    pPlw(rDf, phi, extra, stable) { (rels, rows) =>
+    pPlw(rDf, consts, stable) { (rels, rows) =>
       DuckDb.withConnection { conn =>
         rels.foreach { case (n, r) => DuckDb.load(conn, DuckDb.table(n), schemas(n), r.rows) }
         DuckDb.load(conn, "part_r", schema, rows)

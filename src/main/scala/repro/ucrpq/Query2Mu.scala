@@ -27,19 +27,35 @@ object Query2Mu {
   def edge(label: String): Term =
     AntiProj(Cols.pred, Filter(EqConst(Cols.pred, label), Rel(GraphRel)))
 
-  def pathTerm(p: Path): Term = p match {
+  /** The term of path `p`. Its recursive variables are X1, X2, … in
+    * translation order, skipping those in `bound`.
+    */
+  def pathTerm(p: Path, bound: Set[String] = Set.empty): Term = p match {
     case Label(l)    => edge(l)
     case Inv(l)      => Term.inverse(edge(l))
-    case Concat(ps)  => ps.map(pathTerm).reduceLeft(Term.compose(_, _))
-    case Alt(ps)     => Term.unionAll(ps.map(pathTerm))
-    case Plus(inner) => Term.closure(pathTerm(inner))
+    case Concat(ps)  => inSequence(ps, bound)(pathTerm).reduceLeft(Term.compose(_, _))
+    case Alt(ps)     => Term.unionAll(inSequence(ps, bound)(pathTerm))
+    case Plus(inner) =>
+      val t = pathTerm(inner, bound)
+      Term.closure(t, Fresh.recVar(bound ++ t.recVarNames))
   }
 
+  /** Translate `xs` left to right, each avoiding the recursive variables
+    * of `bound` and of the terms before it, so that a query's fixpoints get
+    * distinct names that depend on the query alone.
+    */
+  private def inSequence[A](xs: Seq[A], bound: Set[String])
+                           (translate: (A, Set[String]) => Term): List[Term] =
+    xs.foldLeft((List.empty[Term], bound)) { case ((acc, b), a) =>
+      val t = translate(a, b)
+      (t :: acc, b ++ t.recVarNames)
+    }._1.reverse
+
   /** Translate one conjunct to a term whose sort is its variable set. */
-  def conjunctTerm(c: Conjunct, constants: Map[String, Any]): Term = {
+  def conjunctTerm(c: Conjunct, constants: Map[String, Any], bound: Set[String] = Set.empty): Term = {
     def constVal(n: String): Any =
       constants.getOrElse(n, throw MuRaError(s"unknown constant '$n' (not in the dataset dictionary)"))
-    val base = pathTerm(c.path)
+    val base = pathTerm(c.path, bound)
     (c.left, c.right) match {
       case (QVar(a), QVar(b)) if a == b =>
         require(!reserved(a), s"variable name '$a' is reserved")
@@ -63,7 +79,7 @@ object Query2Mu {
     */
   def translate(q: Query, constants: Map[String, Any]): Term = {
     require(q.conjuncts.nonEmpty, "empty query body")
-    val body = q.conjuncts.map(conjunctTerm(_, constants)).reduceLeft(Join(_, _))
+    val body = inSequence(q.conjuncts, Set.empty)(conjunctTerm(_, constants, _)).reduceLeft(Join(_, _))
     val bodyVars: Set[String] = q.conjuncts.flatMap { c =>
       Seq(c.left, c.right).collect { case QVar(v) => v }
     }.toSet

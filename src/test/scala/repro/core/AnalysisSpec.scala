@@ -133,4 +133,11 @@ class AnalysisSpec extends AnyFunSuite {
       AntiProj("m", Join(Rename("trg", "m", Rel("E")), Rename("src", "m", RecVar("X"))))))
     assert(!Analysis.alphaEq(right, left, cat))
   }
+
+  test("canonical: sibling fixpoints that reuse a binder name equal ones that do not") {
+    val reused = Join(Term.closure(Rel("E"), "X"), Rename("src", "a", Rename("trg", "b", Term.closure(Rel("S"), "X"))))
+    val distinct = Join(Term.closure(Rel("E"), "X"), Rename("src", "a", Rename("trg", "b", Term.closure(Rel("S"), "Y"))))
+    assert(Analysis.alphaEq(reused, distinct, cat))
+    assert(Analysis.canonical(distinct, cat).recVarNames == Set("#x0", "#x1"))
+  }
 }

@@ -178,6 +178,77 @@ class ExecutorSpec extends SparkSpec {
     }
   }
 
+  // ------------------------- P_plw's broadcast constants and local loops
+
+  /** A labelled graph whose label c occurs nowhere. */
+  private val lg = randLabeled(14, 45, Seq("a", "b"), seed = 11)
+  private def label(l: String): Set[(Long, Long)] = lg.collect { case (s, `l`, o) => (s, o) }
+  private def edge(l: String): Term = AntiProj("pred", Filter(EqConst("pred", l), Rel("G")))
+
+  private val plwRuns = Seq(
+    "P_plw_s" -> new Run(cfg(PlanChoice.ForcePlwS)),
+    "P_plw_pg" -> new Run(cfg(PlanChoice.ForcePlwPg)))
+
+  for ((name, p) <- plwRuns) {
+    def evalG(t: Term): Set[(Long, Long)] =
+      toPairs(p.on(Map("G" -> p.input(labeledDf(spark, lg)))).eval(t))
+
+    test(s"$name: constant operand on the left of the join") {
+      // μ(X = a ∪ π̃_m(ρ_src^m(b) ⋈ ρ_trg^m(X))) = a ∘ b*
+      val step = AntiProj("m", Join(Rename("src", "m", edge("b")), Rename("trg", "m", RecVar("X"))))
+      assert(evalG(Fix("X", Union(edge("a"), step))) == bruteFrom(label("a"), label("b")))
+    }
+
+    test(s"$name: antijoin against a constant subterm") {
+      // μ(X = a ∪ (X ∘ a) ▷ b): extend a-paths, never adding a b edge
+      val fix = Fix("X", Union(edge("a"), Antijoin(Term.compose(RecVar("X"), edge("a")), edge("b"))))
+      var expected = label("a")
+      var grown = true
+      while (grown) {
+        val next = expected ++ (bruteCompose(expected, label("a")) -- label("b"))
+        grown = next != expected
+        expected = next
+      }
+      assert(evalG(fix) == expected)
+    }
+
+    test(s"$name: constant subterm with no common columns (cartesian product)") {
+      // π̃_d((X ∘ a) × ρ_src^d(π̃_trg(b))): X ∘ a while b has an edge
+      val bSources = Rename("src", "d", AntiProj("trg", edge("b")))
+      val fix = Fix("X", Union(edge("a"), AntiProj("d", Join(Term.compose(RecVar("X"), edge("a")), bSources))))
+      assert(label("b").nonEmpty)
+      assert(evalG(fix) == bruteClosure(label("a")))
+    }
+
+    test(s"$name: empty constant subterm (a label absent from G)") {
+      val joined = Fix("X", Union(edge("a"), Term.compose(RecVar("X"), edge("c"))))
+      assert(evalG(joined) == label("a"))
+      val anti = Fix("X", Union(edge("a"), Antijoin(Term.compose(RecVar("X"), edge("a")), edge("c"))))
+      assert(evalG(anti) == bruteClosure(label("a")))
+    }
+
+    test(s"$name: duplicate rows in the constant part and in a constant, no stable column") {
+      // Every edge carries both labels, so a ∪ b evaluated as a bag holds
+      // each pair twice; prepending and appending leaves no stable column.
+      val pairs = randEdges(12, 30, seed = 13)
+      val g = pairs.flatMap { case (s, o) => Set((s, "a", o), (s, "b", o)) }
+      val ab = Union(edge("a"), edge("b"))
+      val prepend = AntiProj("k1", Join(Rename("trg", "k1", ab), Rename("src", "k1", RecVar("Z"))))
+      val append  = AntiProj("k2", Join(Rename("trg", "k2", RecVar("Z")), Rename("src", "k2", ab)))
+      val fix = Fix("Z", Union(ab, Union(prepend, append)))
+      assert(Stabilizer.stableCols(fix, TestGraphs.cat).isEmpty)
+      val df = p.on(Map("G" -> p.input(labeledDf(spark, g)))).eval(fix)
+      assert(toPairs(df) == bruteClosure(pairs))
+      assert(df.count() == df.distinct().count())
+    }
+
+    test(s"$name: constant side that contains a fixpoint") {
+      // μ(X = a ∪ X ∘ b+) = a ∘ (b+)*
+      val fix = Fix("X", Union(edge("a"), Term.compose(RecVar("X"), Term.closure(edge("b"), "Y"))))
+      assert(evalG(fix) == bruteFrom(label("a"), bruteClosure(label("b"))))
+    }
+  }
+
   // ------------------------------------------- P_gld's broadcast rule
 
   test("P_gld broadcasts a relation only when its size estimate is known and small") {

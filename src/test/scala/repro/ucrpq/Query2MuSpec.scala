@@ -146,4 +146,26 @@ class Query2MuSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("fixpoints get distinct names derived from the query, the same on every translation") {
+    val t = Query2Mu.translate("?x,?y,?z <- ?x (a+/b)+ ?y, ?y b+ ?z", consts)
+    val binders = Set.newBuilder[String]
+    t.exists { case Fix(x, _) => binders += x; false; case _ => false }
+    assert(binders.result() == Set("X1", "X2", "X3"))
+    assert(Query2Mu.translate("?x,?y,?z <- ?x (a+/b)+ ?y, ?y b+ ?z", consts) == t)
+  }
+
+  test("translating and optimizing a query twice in one JVM gives identical plan text") {
+    val stats = Map(Query2Mu.GraphRel ->
+      RelStats(1000.0, Map(Cols.src -> 200.0, Cols.pred -> 3.0, Cols.trg -> 200.0)))
+    def plan(q: String): Term = {
+      val t = Query2Mu.translate(q, consts)
+      val plans = Rewriter.explore(t, gcat, RewriteConfig.all, p => Cost.estimate(p, stats, gcat).cost)
+      Cost.best(plans, stats, gcat)
+    }
+    for (q <- Seq("?x,?y <- ?x a+/b+ ?y", "?x,?y,?z <- ?x a+ ?y, ?y b+ ?z", "?x <- N1 (a|b)+/c+ ?x")) {
+      assert(Query2Mu.translate(q, consts).pretty == Query2Mu.translate(q, consts).pretty, q)
+      assert(plan(q).pretty == plan(q).pretty, q)
+    }
+  }
 }
